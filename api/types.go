@@ -100,9 +100,12 @@ type SimSpec struct {
 	Integrator string  `json:"integrator,omitempty"` // implicit-euler|trapezoidal|bdf2
 	Joule      string  `json:"joule,omitempty"`      // edge-split|cell-average
 	LinTol     float64 `json:"lin_tol,omitempty"`
-	// Performance knobs (solver preconditioning, precision and parallelism).
-	Precond        string  `json:"precond,omitempty"`   // ict|ic0|jacobi|none
-	Precision      string  `json:"precision,omitempty"` // float64|mixed
+	// Performance knobs (solver preconditioning and parallelism).
+	Precond string `json:"precond,omitempty"` // ict|ic0|jacobi|none
+	// Precision, Deflation and DeflationBlock are retired: mixed precision
+	// and the deflation tier were removed, and the server rejects any value
+	// but the default ("" or "float64", false, 0) with a validation problem.
+	Precision      string  `json:"precision,omitempty"`
 	Deflation      bool    `json:"deflation,omitempty"`
 	DeflationBlock int     `json:"deflation_block,omitempty"`
 	PrecondOmega   float64 `json:"precond_omega,omitempty"`

@@ -513,13 +513,11 @@ func BenchmarkSolverReuse(b *testing.B) {
 
 // BenchmarkMatvec measures the CSR matvec kernels on the chip thermal step
 // matrix: the scalar reference, the cache-blocked plan (row blocks, int32
-// indices), its float32 value mirror, and the block-partitioned parallel
-// path. The scalar, blocked and parallel kernels sum every row in the same
-// canonical four-accumulator order and are bit-identical; the float32 kernel
-// rounds, by construction. At this mesh size the working set is cache
-// resident and the kernels are gather-latency bound, which is why the
-// float32 variant does not win — the number is tracked to keep that
-// trade-off measured rather than assumed.
+// indices), and the block-partitioned parallel path. All three sum every
+// row in the same canonical four-accumulator order and are bit-identical.
+// At this mesh size the working set is cache resident and the kernels are
+// gather-latency bound (a float32 variant measured no faster and was
+// removed).
 func BenchmarkMatvec(b *testing.B) {
 	lay, err := coarseSpec().Build()
 	if err != nil {
@@ -532,15 +530,11 @@ func BenchmarkMatvec(b *testing.B) {
 	if pl == nil {
 		b.Fatal("plan not built")
 	}
-	pl.SyncVal32(a.Val)
 	n := a.Rows
 	x := make([]float64, n)
 	y := make([]float64, n)
-	x32 := make([]float32, n)
-	y32 := make([]float32, n)
 	for i := range x {
 		x[i] = 1 + 0.01*math.Sin(float64(i))
-		x32[i] = float32(x[i])
 	}
 	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -553,11 +547,6 @@ func BenchmarkMatvec(b *testing.B) {
 			a.MulVec(y, x)
 		}
 		b.ReportMetric(float64(pl.NumBlocks()), "blocks")
-	})
-	b.Run("blocked-f32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pl.MulVec32(y32, x32)
-		}
 	})
 	b.Run("workers8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -52,18 +52,14 @@ type SimConfig struct {
 	// top of the shared degradation chain, which falls through
 	// ICT → MIC0 → IC0 → Jacobi on factorization failure.
 	Precond string `json:"precond,omitempty"`
-	// Precision selects the inner CG arithmetic: float64 (default) | mixed
-	// (float32 Krylov iterations inside a float64 iterative-refinement
-	// loop; solutions still meet lin_tol against the float64 residual).
-	// Mixed needs a factorization preconditioner — it contradicts
-	// precond=jacobi and precond=none.
-	Precision string `json:"precision,omitempty"`
-	// Deflation puts a two-level (aggregation coarse grid) tier on top of
-	// the preconditioner chain; deflation_block sets the target aggregate
-	// size (0 = solver default). Contradicts precond=jacobi/none, which
-	// have no factorization to wrap.
-	Deflation      bool `json:"deflation,omitempty"`
-	DeflationBlock int  `json:"deflation_block,omitempty"`
+	// Precision, Deflation and DeflationBlock are retired fields of the
+	// frozen v1 wire shape: mixed-precision CG and the two-level deflation
+	// tier were measured not to pay and removed, so Validate accepts only
+	// their defaults ("" or "float64", false, 0) and every solve runs in
+	// float64 on the ICT → MIC0 → IC0 → Jacobi chain.
+	Precision      string `json:"precision,omitempty"`
+	Deflation      bool   `json:"deflation,omitempty"`
+	DeflationBlock int    `json:"deflation_block,omitempty"`
 	// PrecondOmega is the modified-IC relaxation in [0, 1]; 0 keeps the
 	// default (1, full compensation), negative selects plain IC(0).
 	PrecondOmega float64 `json:"precond_omega,omitempty"`
@@ -234,25 +230,14 @@ func (s SimConfig) Validate() error {
 	default:
 		return fmt.Errorf("unknown preconditioner %q", s.Precond)
 	}
-	switch s.Precision {
-	case "", "float64", "mixed":
-	default:
-		return fmt.Errorf("unknown precision %q", s.Precision)
+	if s.Precision != "" && s.Precision != "float64" {
+		return fmt.Errorf("precision %q: mixed precision was removed; only float64 is supported", s.Precision)
 	}
-	// Contradictory combinations are rejected here instead of being silently
-	// ignored downstream: both features wrap a factorization preconditioner,
-	// which jacobi/none do not build.
-	if s.Precision == "mixed" && (s.Precond == "jacobi" || s.Precond == "none") {
-		return fmt.Errorf("precision=mixed needs a factorization preconditioner; contradicts precond=%s", s.Precond)
+	if s.Deflation {
+		return fmt.Errorf("deflation: the two-level deflation tier was removed; only false is accepted")
 	}
-	if s.Deflation && (s.Precond == "jacobi" || s.Precond == "none") {
-		return fmt.Errorf("deflation wraps a factorization preconditioner; contradicts precond=%s", s.Precond)
-	}
-	if s.DeflationBlock < 0 {
-		return fmt.Errorf("negative deflation_block %d", s.DeflationBlock)
-	}
-	if s.DeflationBlock > 0 && !s.Deflation {
-		return fmt.Errorf("deflation_block set without deflation")
+	if s.DeflationBlock != 0 {
+		return fmt.Errorf("deflation_block %d: the two-level deflation tier was removed; only 0 is accepted", s.DeflationBlock)
 	}
 	if s.PrecondOmega > 1 {
 		return fmt.Errorf("precond_omega %g above 1", s.PrecondOmega)
@@ -346,13 +331,6 @@ func (s SimConfig) CoreOptions(forEnsemble bool) core.Options {
 		o.Precond = core.PrecondJacobi
 	case "none":
 		o.Precond = core.PrecondNone
-	}
-	if s.Precision == "mixed" {
-		o.Precision = core.PrecisionMixed
-	}
-	if s.Deflation {
-		o.Deflate = true
-		o.DeflateBlock = s.DeflationBlock
 	}
 	if s.PrecondOmega != 0 {
 		o.PrecondOmega = s.PrecondOmega

@@ -3,6 +3,7 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"etherm/internal/core"
@@ -74,6 +75,25 @@ func TestValidationErrors(t *testing.T) {
 	bad.UQ.Stream = true
 	if err := bad.Validate(); err == nil {
 		t.Error("streaming smolyak accepted")
+	}
+	// Retired solver fields: only their defaults validate.
+	for name, sim := range map[string]SimConfig{
+		"precision=mixed":    {EndTimeS: 50, NumSteps: 50, Precision: "mixed"},
+		"precision=half":     {EndTimeS: 50, NumSteps: 50, Precision: "half"},
+		"deflation=true":     {EndTimeS: 50, NumSteps: 50, Deflation: true},
+		"deflation_block=32": {EndTimeS: 50, NumSteps: 50, DeflationBlock: 32},
+		"deflation_block=-8": {EndTimeS: 50, NumSteps: 50, DeflationBlock: -8},
+	} {
+		bad = Default()
+		bad.Sim = sim
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	good := Default()
+	good.Sim.Precision = "float64"
+	if err := good.Validate(); err != nil {
+		t.Errorf("precision=float64 rejected: %v", err)
 	}
 }
 
@@ -201,49 +221,30 @@ func TestSolverKnobsMaterialization(t *testing.T) {
 	}
 }
 
+// TestPrecisionAndDeflationKnobs: the retired v1 fields accept only their
+// defaults, an explicit "float64" included, and never change the solver
+// options; any other value is rejected with a message naming the field.
 func TestPrecisionAndDeflationKnobs(t *testing.T) {
-	// Valid combinations materialize into core options.
-	s := SimConfig{
-		EndTimeS: 10, NumSteps: 5,
-		Precond: "ict", Precision: "mixed",
-		Deflation: true, DeflationBlock: 96,
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	o := s.CoreOptions(false)
-	if o.Precond != core.PrecondICT {
-		t.Error("ict precond selection lost")
-	}
-	if o.Precision != core.PrecisionMixed {
-		t.Error("mixed precision lost")
-	}
-	if !o.Deflate || o.DeflateBlock != 96 {
-		t.Errorf("deflation knobs lost: %+v", o)
-	}
-	// Unset precision stays float64.
-	d := SimConfig{EndTimeS: 10, NumSteps: 5}.CoreOptions(false)
-	if d.Precision != core.PrecisionFloat64 || d.Deflate {
-		t.Errorf("zero-value solver knobs should stay float64/no-deflation: %+v", d)
-	}
-	// Contradictory combinations are rejected up front, not silently
-	// degraded at solve time.
-	for name, bad := range map[string]SimConfig{
-		"unknown precision":            {EndTimeS: 1, NumSteps: 1, Precision: "half"},
-		"mixed with jacobi":            {EndTimeS: 1, NumSteps: 1, Precision: "mixed", Precond: "jacobi"},
-		"mixed with none":              {EndTimeS: 1, NumSteps: 1, Precision: "mixed", Precond: "none"},
-		"deflation with jacobi":        {EndTimeS: 1, NumSteps: 1, Deflation: true, Precond: "jacobi"},
-		"deflation with none":          {EndTimeS: 1, NumSteps: 1, Deflation: true, Precond: "none"},
-		"negative deflation block":     {EndTimeS: 1, NumSteps: 1, Deflation: true, DeflationBlock: -8},
-		"deflation block without defl": {EndTimeS: 1, NumSteps: 1, DeflationBlock: 64},
+	for _, ok := range []SimConfig{
+		{EndTimeS: 10, NumSteps: 5},
+		{EndTimeS: 10, NumSteps: 5, Precision: "float64"},
+		{EndTimeS: 10, NumSteps: 5, Precond: "ict", Precision: "float64"},
 	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("%s: expected validation error for %+v", name, bad)
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
+		}
+		if o, d := ok.CoreOptions(false), (SimConfig{EndTimeS: 10, NumSteps: 5, Precond: ok.Precond}).CoreOptions(false); o != d {
+			t.Errorf("precision=%q changed the core options: %+v vs %+v", ok.Precision, o, d)
 		}
 	}
-	// Mixed precision rides on the default (factorization) preconditioner.
-	ok := SimConfig{EndTimeS: 1, NumSteps: 1, Precision: "mixed"}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("mixed with default precond rejected: %v", err)
+	for field, bad := range map[string]SimConfig{
+		"precision":       {EndTimeS: 1, NumSteps: 1, Precision: "mixed"},
+		"deflation":       {EndTimeS: 1, NumSteps: 1, Deflation: true},
+		"deflation_block": {EndTimeS: 1, NumSteps: 1, DeflationBlock: 32},
+	} {
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), field) || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("%s: want a removed-field error naming it, got %v", field, err)
+		}
 	}
 }

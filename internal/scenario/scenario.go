@@ -490,9 +490,9 @@ type Batch struct {
 }
 
 // Validate checks the batch structurally: names, worker counts, and each
-// scenario's declared solver knobs and uncertainty study (contradictory
-// combinations like precision=mixed with precond=jacobi, or rare-event
-// knobs without the failure_probability mode, fail submission with a 422
+// scenario's declared solver knobs and uncertainty study (retired knobs
+// like precision=mixed, or rare-event knobs without the
+// failure_probability mode, fail submission with a 422
 // instead of degrading silently at run time). Per-scenario physics/geometry
 // errors (e.g. an unbuildable chip) are deliberately NOT caught here —
 // they surface as that scenario's failure at run time, isolated from the

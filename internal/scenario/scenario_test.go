@@ -94,17 +94,17 @@ func TestBatchValidate(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Errorf("structural validation rejected a runtime-failure scenario: %v", err)
 	}
-	// Contradictory solver knobs, by contrast, ARE structural: they fail
-	// submission instead of silently degrading at solve time.
+	// Retired solver knobs, by contrast, ARE structural: they fail
+	// submission instead of being silently ignored at solve time.
 	b = &Batch{Scenarios: []Scenario{{Name: "x",
-		Sim: config.SimConfig{Precision: "mixed", Precond: "jacobi"}}}}
-	if err := b.Validate(); err == nil || !strings.Contains(err.Error(), "precision=mixed") {
-		t.Errorf("contradictory solver knobs accepted: %v", err)
+		Sim: config.SimConfig{Precision: "mixed"}}}}
+	if err := b.Validate(); err == nil || !strings.Contains(err.Error(), "precision") {
+		t.Errorf("removed precision=mixed accepted: %v", err)
 	}
 	b = &Batch{Scenarios: []Scenario{{Name: "x",
-		Sim: config.SimConfig{Deflation: true, Precond: "none"}}}}
+		Sim: config.SimConfig{Deflation: true}}}}
 	if err := b.Validate(); err == nil || !strings.Contains(err.Error(), "deflation") {
-		t.Errorf("deflation without a factorization preconditioner accepted: %v", err)
+		t.Errorf("removed deflation accepted: %v", err)
 	}
 }
 

@@ -134,7 +134,7 @@ func TestJobRoundTrip(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	ts, _ := newTestServer(t, NewServer(1))
+	ts, cl := newTestServer(t, NewServer(1))
 
 	for name, tc := range map[string]struct {
 		body   string
@@ -145,11 +145,14 @@ func TestSubmitValidation(t *testing.T) {
 		"empty batch":   {`{"scenarios": []}`, http.StatusUnprocessableEntity, api.CodeValidation},
 		"unknown field": {`{"scenarios": [{"name": "x", "chipp": 1}]}`, http.StatusUnprocessableEntity, api.CodeValidation},
 		"duplicate":     {`{"scenarios": [{"name": "x"}, {"name": "x"}]}`, http.StatusUnprocessableEntity, api.CodeValidation},
-		"contradictory solver knobs": {
-			`{"scenarios": [{"name": "x", "sim": {"precision": "mixed", "precond": "jacobi"}}]}`,
+		"removed precision=mixed": {
+			`{"scenarios": [{"name": "x", "sim": {"precision": "mixed"}}]}`,
 			http.StatusUnprocessableEntity, api.CodeValidation},
-		"deflation without factorization": {
-			`{"scenarios": [{"name": "x", "sim": {"deflation": true, "precond": "none"}}]}`,
+		"removed deflation": {
+			`{"scenarios": [{"name": "x", "sim": {"deflation": true}}]}`,
+			http.StatusUnprocessableEntity, api.CodeValidation},
+		"removed deflation_block": {
+			`{"scenarios": [{"name": "x", "sim": {"deflation_block": 32}}]}`,
 			http.StatusUnprocessableEntity, api.CodeValidation},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
@@ -164,6 +167,23 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("%s: problem code %q, want %q", name, problem.Code, tc.code)
 		}
 	}
+
+	// The retired precision field still accepts its default value.
+	body := `{"scenarios": [{"name": "x", "chip": {"hmax_m": 0.0008, "active_pairs": [0]},
+		"sim": {"end_time_s": 10, "num_steps": 3, "coupling": "weak", "nonlinear": "newton", "precision": "float64"}}]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job api.Job
+	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("precision=float64: status %d, want %d", resp.StatusCode, http.StatusAccepted)
+	}
+	waitDone(t, cl, job.ID, time.Minute)
 }
 
 func TestFinishedJobEviction(t *testing.T) {

@@ -47,8 +47,7 @@ const ndLeafSize = 48
 //
 // The factor is stored column-major with the diagonal entry first in each
 // column, so the forward solve is a scatter loop and the backward solve a
-// gather loop, both streaming sequentially over the factor. A float32
-// mirror of the factor serves the mixed-precision solver (Apply32).
+// gather loop, both streaming sequentially over the factor.
 type CholPrec struct {
 	n     int
 	exact bool // symbolic full-fill pattern vs threshold-dropped pattern
@@ -87,11 +86,6 @@ type CholPrec struct {
 	candVal []float64
 	keepRow []int32
 	keepVal []float64
-
-	val32   []float32
-	inv32   []float32
-	pr32    []float32
-	f32good bool
 }
 
 // newCholBase computes the shared ingredients of both factorization
@@ -281,6 +275,8 @@ const (
 // of zero select the tuned defaults. The pattern is recomputed numerically
 // at every Refresh (the factorization is pattern-free), so Refresh tracks
 // value changes exactly like the level-0 factors do — without allocating.
+// A pivot failure is reported as an ICT error, not as ErrCholesky, so the
+// degradation reason names the tier that failed.
 func NewICT(a *sparse.CSR, dropTol float64, lfil int) (*CholPrec, error) {
 	c, err := newCholBase(a)
 	if err != nil {
@@ -325,7 +321,6 @@ func (c *CholPrec) Refresh(a *sparse.CSR) error {
 	if a.Rows != c.n || a.Cols != c.n || a.NNZ() != c.srcNNZ {
 		return errors.New("solver: Cholesky refresh pattern mismatch")
 	}
-	c.f32good = false
 	if c.exact {
 		return c.refreshExact(a)
 	}
@@ -460,7 +455,7 @@ func (c *CholPrec) refreshThreshold(a *sparse.CSR) error {
 			c.w[r] += a.Val[c.srcPos[s]]
 		}
 		if c.marker[j] != j32 {
-			return fmt.Errorf("%w: empty diagonal at permuted row %d", ErrCholesky, j)
+			return fmt.Errorf("solver: ICT empty diagonal at permuted row %d", j)
 		}
 		ajj := math.Abs(c.w[j])
 		for k := c.head[j]; k != -1; {
@@ -487,7 +482,7 @@ func (c *CholPrec) refreshThreshold(a *sparse.CSR) error {
 		}
 		d := c.w[j]
 		if d <= 0 || d <= micPivotFloor*ajj || math.IsNaN(d) {
-			return fmt.Errorf("%w: non-positive pivot at permuted row %d", ErrCholesky, j)
+			return fmt.Errorf("solver: ICT non-positive pivot at permuted row %d", j)
 		}
 		// Dual-threshold selection: candidates must exceed the drop
 		// tolerance (|w| > dropTol·d ⇔ |l_ij| > dropTol·l_jj), then the
@@ -598,54 +593,6 @@ func (c *CholPrec) Apply(dst, r []float64) {
 			s0 += val[q] * x[rowIdx[q]]
 		}
 		x[j] = (x[j] - ((s0 + s1) + (s2 + s3))) * c.inv[j]
-	}
-	for k := 0; k < n; k++ {
-		dst[c.perm[k]] = x[k]
-	}
-}
-
-// ensure32 populates the float32 factor mirror (allocating on first use).
-func (c *CholPrec) ensure32() {
-	if c.val32 == nil {
-		c.val32 = make([]float32, len(c.val))
-		c.inv32 = make([]float32, c.n)
-		c.pr32 = make([]float32, c.n)
-	}
-	for k, v := range c.val {
-		c.val32[k] = float32(v)
-	}
-	for k, v := range c.inv {
-		c.inv32[k] = float32(v)
-	}
-	c.f32good = true
-}
-
-// Apply32 is the float32 analogue of Apply for the mixed-precision solver.
-// The mirror is refreshed lazily after each Refresh.
-func (c *CholPrec) Apply32(dst, r []float32) {
-	if !c.f32good {
-		c.ensure32()
-	}
-	n := c.n
-	x := c.pr32
-	for k := 0; k < n; k++ {
-		x[k] = r[c.perm[k]]
-	}
-	for j := 0; j < n; j++ {
-		dpos := c.colPtr[j]
-		yj := x[j] * c.inv32[j]
-		x[j] = yj
-		for q := dpos + 1; q < c.colPtr[j+1]; q++ {
-			x[c.rowIdx[q]] -= c.val32[q] * yj
-		}
-	}
-	for j := n - 1; j >= 0; j-- {
-		dpos := c.colPtr[j]
-		s := x[j]
-		for q := dpos + 1; q < c.colPtr[j+1]; q++ {
-			s -= c.val32[q] * x[c.rowIdx[q]]
-		}
-		x[j] = s * c.inv32[j]
 	}
 	for k := 0; k < n; k++ {
 		dst[c.perm[k]] = x[k]

@@ -190,9 +190,6 @@ func (o Options) withDefaults(n int) Options {
 // Newton × coupling × time-step × sample loops.
 type Workspace struct {
 	r, z, p, ap []float64
-
-	// float32 scratch for CGMixed, allocated lazily on first mixed solve.
-	r32, z32, p32, ap32, d32 []float32
 }
 
 // NewWorkspace returns a workspace for systems of n unknowns.
